@@ -10,7 +10,7 @@
 
 use subvt_units::consts::Q;
 
-use crate::banded::BandedMatrix;
+use crate::banded::{BandedMatrix, ZeroPivotError};
 use crate::device::Mosfet2d;
 use crate::mesh::{Boundary, Mesh};
 use crate::poisson::{thermals, Bias};
@@ -57,35 +57,58 @@ pub fn equilibrium_electrons(n_net: f64, ni: f64) -> f64 {
     }
 }
 
-/// Maps a global mesh index to the electron-system (silicon-only) local
-/// index. Silicon occupies rows `j ≥ j_si0`, so locals stay grid-ordered
-/// with bandwidth `nx`.
+/// Row of silicon node `(i, j)` in the electron system: x-major with the
+/// vertical index fastest, `i·ny_si + (j − j_si0)`. Vertical neighbours
+/// are adjacent rows and lateral neighbours `ny_si` rows apart, so the
+/// half-bandwidth is the silicon row count `ny_si = ny − j_si0` — the
+/// short axis of every device mesh — rather than `nx`.
 #[inline]
-fn local(device: &Mosfet2d, idx: usize) -> usize {
-    idx - device.j_si0 * device.mesh.nx()
+fn local(device: &Mosfet2d, i: usize, j: usize) -> usize {
+    i * (device.mesh.ny() - device.j_si0) + (j - device.j_si0)
 }
 
 /// Solves the electron continuity equation for the density field `n`
 /// (cm⁻³, silicon nodes; oxide entries left at zero).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the banded factorization hits a zero pivot (cannot happen
-/// for a connected silicon region with at least one contact).
-pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Vec<f64> {
+/// Returns [`ZeroPivotError`] if the banded elimination meets a zero
+/// pivot; `row` is the failing row in the x-major, vertical-fastest
+/// ordering of the silicon nodes. A connected silicon region with
+/// positive mobility and at least one contact never does, but a node
+/// with no conducting face (zero mobility) makes its row singular.
+pub fn solve_electrons(
+    device: &Mosfet2d,
+    psi: &[f64],
+    bias: &Bias,
+) -> Result<Vec<f64>, ZeroPivotError> {
+    let _ = bias; // bias enters through psi and the contact densities
+    let bw = device.mesh.ny() - device.j_si0;
+    solve_ordered(device, psi, bw, |i, j| local(device, i, j))
+}
+
+/// Assembles and solves the electron system with silicon node `(i, j)`
+/// at row `row_of(i, j)`, where `bw` bounds `|row_of(a) − row_of(b)|`
+/// over neighbouring nodes.
+fn solve_ordered(
+    device: &Mosfet2d,
+    psi: &[f64],
+    bw: usize,
+    row_of: impl Fn(usize, usize) -> usize,
+) -> Result<Vec<f64>, ZeroPivotError> {
     let mesh = &device.mesh;
     let (vt, ni) = thermals(device);
     let nx = mesh.nx();
     let ny = mesh.ny();
     let n_si = (ny - device.j_si0) * nx;
 
-    let mut mat = BandedMatrix::zeros(n_si, nx);
+    let mut mat = BandedMatrix::zeros(n_si, bw);
     let mut rhs = vec![0.0; n_si];
 
     for j in device.j_si0..ny {
         for i in 0..nx {
             let idx = mesh.idx(i, j);
-            let row = local(device, idx);
+            let row = row_of(i, j);
             match mesh.boundary[idx] {
                 Boundary::Source | Boundary::Drain | Boundary::Substrate => {
                     mat.set(row, row, 1.0);
@@ -99,7 +122,7 @@ pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Vec<f64> 
 
             let face = |nb: (usize, usize), d: f64, a: f64, mat: &mut BandedMatrix| {
                 let nb_idx = mesh.idx(nb.0, nb.1);
-                let col = local(device, nb_idx);
+                let col = row_of(nb.0, nb.1);
                 let mu = 0.5 * (device.mobility[idx] + device.mobility[nb_idx]);
                 let c = Q * mu * vt * a / d;
                 let du = (psi[nb_idx] - psi[idx]) / vt;
@@ -122,21 +145,17 @@ pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Vec<f64> 
         }
     }
 
-    let _ = bias; // bias enters through psi and the contact densities
-    let n_local = mat
-        .solve_in_place(&mut rhs)
-        .expect("continuity system is an M-matrix with Dirichlet contacts");
+    let n_local = mat.solve_in_place(&mut rhs)?;
 
     let mut n = vec![0.0; mesh.len()];
     for j in device.j_si0..ny {
         for i in 0..nx {
-            let idx = mesh.idx(i, j);
             // Direct elimination can leave tiny negative values in
             // near-depleted cells; floor them at a physical minimum.
-            n[idx] = n_local[local(device, idx)].max(1.0e-12 * ni);
+            n[mesh.idx(i, j)] = n_local[row_of(i, j)].max(1.0e-12 * ni);
         }
     }
-    n
+    Ok(n)
 }
 
 /// Terminal electron current at the drain contact, amps per micron of
@@ -227,7 +246,7 @@ mod tests {
         let mut psi = initial_guess(&dev, &bias);
         let phi = vec![0.0; dev.len()];
         assert!(solve(&dev, &mut psi, &phi, &phi, &bias).converged);
-        let n = solve_electrons(&dev, &psi, &bias);
+        let n = solve_electrons(&dev, &psi, &bias).unwrap();
         let id = drain_current(&dev, &psi, &n);
         assert!(id < 1.0e-15, "equilibrium leakage {id} A/µm");
     }
@@ -239,7 +258,7 @@ mod tests {
         let mut psi = initial_guess(&dev, &bias);
         let phi = vec![0.0; dev.len()];
         assert!(solve(&dev, &mut psi, &phi, &phi, &bias).converged);
-        let n = solve_electrons(&dev, &psi, &bias);
+        let n = solve_electrons(&dev, &psi, &bias).unwrap();
         let (vt, ni) = thermals(&dev);
         // Sample a handful of interior silicon nodes: n ≈ n_i·e^{ψ/v_T}.
         let mesh = &dev.mesh;
@@ -256,6 +275,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn short_axis_ordering_matches_row_major_reference() {
+        // One biased system, solved in the short-axis ordering and in
+        // the old row-major ordering (row (j − j_si0)·nx + i, half-
+        // bandwidth nx): the two eliminations round differently, but
+        // every node must agree far inside the Gummel tolerance.
+        let dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
+        let mut sim = crate::gummel::DeviceSimulator::new(dev).unwrap();
+        sim.set_bias(0.3, 0.6).unwrap();
+        let (dev, psi, bias) = (sim.device(), sim.potential(), sim.bias());
+        let (nx, ny_si) = (dev.mesh.nx(), dev.mesh.ny() - dev.j_si0);
+        assert!(ny_si < nx, "short axis is vertical: {ny_si} vs {nx}");
+        let short = solve_electrons(dev, psi, &bias).unwrap();
+        let row_major = solve_ordered(dev, psi, nx, |i, j| (j - dev.j_si0) * nx + i).unwrap();
+        let mut worst = 0.0f64;
+        for j in dev.j_si0..dev.mesh.ny() {
+            for i in 0..nx {
+                let idx = dev.mesh.idx(i, j);
+                worst = worst.max((short[idx] / row_major[idx] - 1.0).abs());
+            }
+        }
+        assert!(worst < 1e-10, "max relative density difference {worst:e}");
+    }
+
+    #[test]
+    fn zero_mobility_is_a_typed_singular_error() {
+        let mut dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
+        dev.mobility.fill(0.0);
+        let bias = Bias::default();
+        let psi = initial_guess(&dev, &bias);
+        let err = solve_electrons(&dev, &psi, &bias).unwrap_err();
+        assert!(err.row < (dev.mesh.ny() - dev.j_si0) * dev.mesh.nx());
     }
 
     #[cfg(feature = "proptest")]

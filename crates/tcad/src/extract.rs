@@ -180,7 +180,7 @@ impl subvt_engine::Blob for Extraction {
 /// versioned — bump it whenever the solver or the extraction recipe
 /// changes results.
 pub fn extraction_key(params: &DeviceParams, density: MeshDensity, step: f64) -> u64 {
-    subvt_engine::KeyBuilder::new("tcad.extract.v1")
+    subvt_engine::KeyBuilder::new("tcad.extract.v2")
         .keyed(params)
         .str(density.as_str())
         .f64(step)

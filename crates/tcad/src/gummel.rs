@@ -37,6 +37,14 @@ pub enum TcadError {
         /// Final potential update, volts.
         residual: f64,
     },
+    /// The electron continuity system met a zero pivot.
+    ContinuitySingular {
+        /// Bias point at which the failure occurred.
+        bias: Bias,
+        /// Row of the silicon electron system at which elimination
+        /// failed.
+        row: usize,
+    },
     /// A sweep specification was degenerate (non-positive step or end
     /// point, or a non-finite value).
     InvalidSweep {
@@ -62,6 +70,11 @@ impl core::fmt::Display for TcadError {
                 "gummel stalled at Vg={}, Vd={} (residual {residual:e} V)",
                 bias.v_gate, bias.v_drain
             ),
+            TcadError::ContinuitySingular { bias, row } => write!(
+                f,
+                "continuity system singular at Vg={}, Vd={} (zero pivot at row {row})",
+                bias.v_gate, bias.v_drain
+            ),
             TcadError::InvalidSweep { step, v_max } => write!(
                 f,
                 "invalid sweep spec: step={step}, v_max={v_max} (both must be finite and positive)"
@@ -71,6 +84,13 @@ impl core::fmt::Display for TcadError {
 }
 
 impl std::error::Error for TcadError {}
+
+/// Solves the electron continuity system, mapping a zero pivot to
+/// [`TcadError::ContinuitySingular`] at `bias`.
+fn electrons(device: &Mosfet2d, psi: &[f64], bias: Bias) -> Result<Vec<f64>, TcadError> {
+    solve_electrons(device, psi, &bias)
+        .map_err(|e| TcadError::ContinuitySingular { bias, row: e.row })
+}
 
 /// A biased, converged device state.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +108,7 @@ impl DeviceSimulator {
     /// # Errors
     ///
     /// Returns [`TcadError`] if equilibrium cannot be established (would
-    /// indicate a malformed mesh).
+    /// indicate a malformed mesh or device, such as zero mobility).
     pub fn new(device: Mosfet2d) -> Result<Self, TcadError> {
         let bias = Bias::default();
         let mut psi = initial_guess(&device, &bias);
@@ -97,7 +117,7 @@ impl DeviceSimulator {
         if !out.converged {
             return Err(TcadError::PoissonDiverged { bias });
         }
-        let n = solve_electrons(&device, &psi, &bias);
+        let n = electrons(&device, &psi, bias)?;
         let phi_n = zeros;
         Ok(Self {
             device,
@@ -275,7 +295,13 @@ impl DeviceSimulator {
                     *p = pb + relax * (*p - pb);
                 }
             }
-            self.n = solve_electrons(&self.device, &self.psi, &bias);
+            self.n = match electrons(&self.device, &self.psi, bias) {
+                Ok(n) => n,
+                Err(err) => {
+                    record(iteration, last_residual);
+                    return Err(err);
+                }
+            };
             // Update the electron quasi-Fermi potential for the next
             // Poisson linearization.
             for idx in 0..self.device.len() {
@@ -394,6 +420,16 @@ mod tests {
             .filter(|r| r.site == "tcad.gummel" && r.recovered)
             .count();
         assert!(recovered > 0, "retry rung never recorded");
+    }
+
+    #[test]
+    fn zero_mobility_surfaces_continuity_singular() {
+        let mut dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
+        dev.mobility.fill(0.0);
+        match DeviceSimulator::new(dev) {
+            Err(TcadError::ContinuitySingular { bias, .. }) => assert_eq!(bias, Bias::default()),
+            other => panic!("expected ContinuitySingular, got {other:?}"),
+        }
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl TcadModel {
             .get_or_init(|| {
                 let anchor = DeviceParams::reference_90nm_nfet();
                 let density = self.density;
-                let key = KeyBuilder::new("tcad.model.cal.v1")
+                let key = KeyBuilder::new("tcad.model.cal.v2")
                     .keyed(&anchor)
                     .str(density.as_str())
                     .finish();
@@ -271,7 +271,7 @@ impl TcadModel {
             ..*params
         };
         let density = self.density;
-        let key = KeyBuilder::new("tcad.model.direct.v1")
+        let key = KeyBuilder::new("tcad.model.direct.v2")
             .keyed(&mirror)
             .str(density.as_str())
             .finish();

@@ -7,6 +7,7 @@
 //! calibrated compact model (lower constant-current V_th), while the
 //! swing and DIBL agree closely.
 
+use subvt_core::{ScalingStrategy, SubVthStrategy, SuperVthStrategy, TechNode};
 use subvt_physics::device::DeviceParams;
 use subvt_tcad::device::{MeshDensity, Mosfet2d};
 use subvt_tcad::extract::{id_vg, sweep_and_extract};
@@ -132,4 +133,29 @@ fn subvth_style_device_shows_better_swing_in_2d() {
         ss_relaxed < ss_base,
         "longer channel must improve 2-D swing: {ss_relaxed} vs {ss_base}"
     );
+}
+
+#[test]
+fn silicon_rows_are_the_short_axis_of_every_node_design() {
+    // The continuity solve orders unknowns along the vertical axis, so
+    // its half-bandwidth is the silicon row count; that only pays off
+    // while the silicon is shallower (in rows) than the mesh is wide.
+    let flows: [&dyn ScalingStrategy; 2] =
+        [&SuperVthStrategy::default(), &SubVthStrategy::default()];
+    for node in TechNode::ALL {
+        for flow in flows {
+            let design = flow.design_node(node).expect("node design");
+            for density in [MeshDensity::Coarse, MeshDensity::Standard] {
+                let dev = Mosfet2d::build(&design.nfet, density);
+                let (nx, ny_si) = (dev.mesh.nx(), dev.mesh.ny() - dev.j_si0);
+                assert!(
+                    ny_si < nx,
+                    "{} {} {}: {ny_si} silicon rows vs nx = {nx}",
+                    flow.name(),
+                    node.name(),
+                    density.as_str()
+                );
+            }
+        }
+    }
 }
