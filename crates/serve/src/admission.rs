@@ -9,12 +9,16 @@
 //! each admitted-but-unstarted request gets a typed `shutting_down`
 //! answer rather than a dropped connection.
 //!
+//! A panic on a thread holding the queue lock poisons it; every method
+//! recovers the guard (`PoisonError::into_inner`) instead of
+//! panicking in turn, since no operation leaves the queue half-updated.
+//!
 //! The queue depth is published to the metrics registry as the
 //! `serve.queue.depth` gauge on every transition.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use subvt_engine::trace;
@@ -90,7 +94,7 @@ impl Admission {
     // every rejection on the overload path.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, job: Job) -> Result<(), Rejected> {
-        let mut state = self.state.lock().expect("admission lock");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if !state.open {
             return Err(Rejected::Closed(job));
         }
@@ -107,7 +111,7 @@ impl Admission {
     /// Blocks for the next job; `None` once the queue is closed (any
     /// jobs still queued at close time were flushed, not handed out).
     pub fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("admission lock");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(job) = state.queue.pop_front() {
                 trace::gauge("serve.queue.depth", state.queue.len() as f64);
@@ -116,7 +120,10 @@ impl Admission {
             if !state.open {
                 return None;
             }
-            state = self.ready.wait(state).expect("admission wait");
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -124,7 +131,7 @@ impl Admission {
     /// `group` as its [`Query::idvg_group`] — the sweep-batching
     /// steal. Order is preserved.
     pub fn steal_idvg_group(&self, group: u64) -> Vec<Job> {
-        let mut state = self.state.lock().expect("admission lock");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut stolen = Vec::new();
         let mut rest = VecDeque::with_capacity(state.queue.len());
         for job in state.queue.drain(..) {
@@ -143,7 +150,7 @@ impl Admission {
     /// `pop` calls return `None`, and every job still queued is
     /// returned for typed rejection.
     pub fn close(&self) -> Vec<Job> {
-        let mut state = self.state.lock().expect("admission lock");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.open = false;
         let flushed: Vec<Job> = state.queue.drain(..).collect();
         trace::gauge("serve.queue.depth", 0.0);
@@ -154,7 +161,11 @@ impl Admission {
 
     /// Current queue depth.
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("admission lock").queue.len()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .queue
+            .len()
     }
 }
 
@@ -220,5 +231,24 @@ mod tests {
             ["a", "b"]
         );
         assert_eq!(adm.depth(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_recovered_not_propagated() {
+        let adm = std::sync::Arc::new(Admission::new(4));
+        let poisoner = std::sync::Arc::clone(&adm);
+        let _ = std::thread::spawn(move || {
+            let _held = poisoner.state.lock().unwrap();
+            panic!("poison the admission lock");
+        })
+        .join();
+        assert!(adm.state.is_poisoned());
+        let (a, _rxa) = job("a", "sleep", r#"{"ms":1}"#);
+        adm.submit(a).expect("submit after poisoning");
+        assert_eq!(adm.depth(), 1);
+        assert_eq!(adm.pop().expect("pop after poisoning").id, "a");
+        assert!(adm.steal_idvg_group(0).is_empty());
+        assert!(adm.close().is_empty());
+        assert!(adm.pop().is_none());
     }
 }

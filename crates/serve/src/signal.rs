@@ -3,24 +3,19 @@
 //! The workspace is std-only, so the handlers are installed through a
 //! direct `extern "C"` declaration of POSIX `signal(2)` — the one
 //! place in the workspace that needs `unsafe`. The handler body only
-//! stores a relaxed [`AtomicBool`], which is async-signal-safe. On
-//! non-unix targets installation is a no-op and the flag is driven
-//! solely by [`request_shutdown`] (the `shutdown` admin method).
+//! stores a relaxed [`AtomicBool`], which is async-signal-safe. A
+//! signal does not interrupt a blocked `accept` (glibc's `signal(2)`
+//! installs restartable handlers), so `Server::join` polls the flag
+//! and wakes the accept loop itself. On non-unix targets installation
+//! is a no-op and only the `shutdown` method stops the daemon.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// Whether a shutdown was requested by signal or by
-/// [`request_shutdown`].
+/// Whether SIGTERM or SIGINT has arrived.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::Relaxed)
-}
-
-/// Raises the process-wide shutdown flag (used by the `shutdown`
-/// protocol method and by tests).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::Relaxed);
 }
 
 /// Clears the flag — test-only escape hatch so sequential in-process
@@ -75,7 +70,7 @@ mod tests {
     fn flag_round_trips() {
         reset_for_tests();
         assert!(!shutdown_requested());
-        request_shutdown();
+        SHUTDOWN.store(true, Ordering::Relaxed);
         assert!(shutdown_requested());
         reset_for_tests();
         assert!(!shutdown_requested());

@@ -1,8 +1,9 @@
 //! Integration suite for the `subvt-serve` daemon (DESIGN.md §8):
 //! request dedup through the single-flight cache, typed overload
-//! rejection, poison-request quarantine, graceful shutdown, the
-//! HTTP metrics shim, and — via the real binary — warm restart from
-//! the persistent cache with zero new misses.
+//! rejection, poison-request quarantine, graceful shutdown by every
+//! path, prompt accepts of fresh connections, the HTTP metrics shim,
+//! and — via the real binary — warm restart from the persistent cache
+//! with zero new misses, SIGTERM, and a deeply nested request line.
 //!
 //! The metric assertions read the process-global tracer, so every
 //! test takes the serial lock and works in counter deltas.
@@ -481,6 +482,145 @@ fn wire_trace_context_stitches_into_one_parent_linked_tree() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Fresh connections are served as soon as they arrive: the accept
+/// loop blocks in `accept()` instead of polling, so 50 one-shot pings
+/// cost a few ms in total, not one poll interval each.
+#[test]
+fn fresh_connections_are_accepted_without_a_poll_delay() {
+    let _guard = serial();
+    let server = start(Config::default());
+    let addr = server.addr();
+    let started = Instant::now();
+    for _ in 0..50 {
+        let mut client = Client::connect(addr).expect("connect");
+        assert!(client.call("ping", "{}").expect("ping").ok);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "50 fresh-connection pings took {elapsed:?}"
+    );
+    server.shutdown();
+    server.join().expect("join");
+}
+
+/// `Server::shutdown` wakes an accept loop that never saw a client,
+/// and `join` still compacts the cache.
+#[test]
+fn idle_server_shuts_down_promptly_and_persists_the_cache() {
+    let _guard = serial();
+    let cache_path =
+        std::env::temp_dir().join(format!("subvt-serve-idle-{}.jsonl", std::process::id()));
+    std::fs::remove_file(&cache_path).ok();
+    let server = start(Config {
+        cache_path: Some(cache_path.clone()),
+        ..Config::default()
+    });
+    // On a helper thread, so a missed wake-up fails the test instead
+    // of hanging it.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        done.send(server.join()).ok();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(1))
+        .expect("idle shutdown + join must return within 1 s")
+        .expect("join");
+    assert!(cache_path.exists(), "shutdown must compact the cache");
+    assert!(
+        !lock_path(&cache_path).exists(),
+        "the cache lock is released"
+    );
+    std::fs::remove_file(&cache_path).ok();
+}
+
+/// Spawned-binary test: SIGTERM alone (no client connecting) stops the
+/// daemon with exit 0 and a compacted cache holding its response.
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_the_daemon_and_compacts_the_cache() {
+    let _guard = serial();
+    let cache_path =
+        std::env::temp_dir().join(format!("subvt-serve-sigterm-{}.jsonl", std::process::id()));
+    std::fs::remove_file(&cache_path).ok();
+    let mut daemon = spawn_daemon(&cache_path);
+    let mut client =
+        Client::connect_ready(daemon.addr.as_str(), Duration::from_secs(10)).expect("ready");
+    let computed = client
+        .call("fo1", r#"{"node":"ref90","v_dd":0.27}"#)
+        .expect("fo1 call");
+    assert!(computed.ok, "{}", computed.raw);
+    drop(client);
+
+    let killed = std::process::Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+    let status = wait_until(Duration::from_secs(5), || {
+        daemon.child.try_wait().expect("try_wait")
+    });
+    assert!(status.success(), "SIGTERM must exit 0, got {status}");
+    let text = std::fs::read_to_string(&cache_path).expect("compacted cache");
+    assert!(
+        text.contains("serve.resp"),
+        "the compacted cache must hold the response"
+    );
+    assert!(
+        !lock_path(&cache_path).exists(),
+        "the cache lock is released"
+    );
+    std::fs::remove_file(&cache_path).ok();
+}
+
+/// One request line of 200 000 `[` is a typed `bad_request`, not a
+/// stack overflow that aborts the daemon; the next connection is
+/// served.
+#[test]
+fn deep_nesting_is_a_bad_request_and_the_daemon_survives() {
+    use std::io::Write as _;
+
+    let _guard = serial();
+    let cache_path =
+        std::env::temp_dir().join(format!("subvt-serve-deep-{}.jsonl", std::process::id()));
+    std::fs::remove_file(&cache_path).ok();
+    let mut daemon = spawn_daemon(&cache_path);
+    let ready =
+        Client::connect_ready(daemon.addr.as_str(), Duration::from_secs(10)).expect("ready");
+    drop(ready);
+
+    let mut stream = std::net::TcpStream::connect(daemon.addr.as_str()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut line = "[".repeat(200_000);
+    line.push('\n');
+    stream.write_all(line.as_bytes()).expect("write");
+    let mut answer = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut answer)
+        .expect("read answer");
+    let json = subvt_exp::tracefmt::parse_json(answer.trim()).expect("answer is JSON");
+    assert_eq!(
+        json.get("ok"),
+        Some(&subvt_exp::tracefmt::Json::Bool(false))
+    );
+    assert_eq!(
+        json.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(subvt_exp::tracefmt::Json::as_str),
+        Some("bad_request"),
+        "{answer}"
+    );
+
+    let mut client = Client::connect(daemon.addr.as_str()).expect("reconnect");
+    assert!(client.call("ping", "{}").expect("ping after").ok);
+    client.call("shutdown", "{}").expect("shutdown");
+    daemon.wait_success();
+    std::fs::remove_file(&cache_path).ok();
+}
+
 // ---------------------------------------------------------------- helpers
 
 /// Sends raw bytes, half-closes the write side, and returns everything
@@ -546,6 +686,13 @@ fn spawn_daemon(cache_path: &std::path::Path) -> Daemon {
         "unexpected banner: {banner}"
     );
     Daemon { child, addr }
+}
+
+/// The primary-writer lock file beside a cache file.
+fn lock_path(cache_path: &std::path::Path) -> std::path::PathBuf {
+    let mut os = cache_path.as_os_str().to_owned();
+    os.push(".lock");
+    os.into()
 }
 
 fn wait_for_gauge(addr: std::net::SocketAddr, name: &str, want: f64) {
